@@ -18,9 +18,7 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "graph/capture.h"
 #include "graph/plan.h"
-#include "graph/snapshot.h"
 #include "graph/train.h"
 #include "nn/rptcn_net.h"
 #include "obs/metrics.h"
@@ -110,9 +108,8 @@ RunResult run_config(const RunConfig& cfg) {
 /// The per-epoch validation pass, tape vs planned (NnTrainConfig.planned_eval).
 /// Both run the identical eval workload: kEvalBatches forward passes of
 /// kBatch windows with training off and no gradients. The planned run
-/// captures once (cost included in its first pass, amortised over
-/// kEvalRepeats sweeps, exactly as the trainer amortises one capture over
-/// an epoch's validation batches) and replays from the arena.
+/// compiles once (before timing; the trainer amortises one compile over an
+/// epoch's validation batches) and replays from the arena.
 struct EvalResult {
   double tape_ms = 0.0;     ///< per full eval sweep
   double planned_ms = 0.0;  ///< per full eval sweep
@@ -147,9 +144,14 @@ EvalResult run_eval_bench() {
     }
   };
 
-  graph::CaptureOptions copts;
-  copts.dispatch_n = 0;  // true-batch dispatch, as planned_eval wires it
-  graph::PlanCache plans(graph::make_capture_fn(graph::snapshot(net), copts));
+  // True-batch dispatch (dispatch_n = 0), as planned_eval wires it.
+  graph::PlanCache plans([&net](std::size_t n, std::size_t f, std::size_t t) {
+    return graph::compile_forward(
+        [&net](const Variable& x) { return net.forward(x); }, n, f, t,
+        /*dispatch_n=*/0);
+  });
+  RPTCN_CHECK(plans.get(kBatch, kFeatures, kWindow) != nullptr,
+              "eval forward compile declined");
   const auto planned_sweep = [&](std::vector<Tensor>* outs) {
     for (const Tensor& x : batches) {
       Tensor y = plans.get(x.dim(0), x.dim(1), x.dim(2))->run(x);

@@ -1,32 +1,30 @@
-// Static graph capture + ahead-of-time memory planning (JIT-lite executor).
+// Ahead-of-time memory planning and replay (JIT-lite executor).
 //
-// The serving forward is shape-static: for a fixed (model, batch shape) every
-// call runs the same ops on the same sizes. The tape-free runners in
-// snapshot.cpp still pay shape checks, dispatch branches, and a buffer-pool
-// round trip per intermediate on every call. This layer pays those costs
-// once:
+// A planned program is shape-static: for a fixed (model, batch shape) every
+// call runs the same ops on the same sizes, so shape checks, dispatch
+// decisions and per-intermediate allocations are paid once:
 //
-//  * capture — trace one forward into an immutable flat list of TensorOps
-//    (capture.h), keyed by the input shape [N, F, T].
+//  * record  — run the network's own forward once under an
+//    ag::trace::Recording (graph/train.h);
+//  * compile — re-emit the recorded ops as an immutable flat list of
+//    TensorOps against a GraphBuilder, keyed by the input shape [N, F, T];
 //  * plan    — liveness analysis assigns every intermediate an offset in one
 //    contiguous arena. A value is live on [def, last_use]; non-overlapping
-//    lifetimes share arena bytes (first-fit free list, 16-float aligned),
-//    and an op whose input dies at the op itself may alias its output onto
-//    that input's block (in-place add+relu).
+//    lifetimes share arena bytes (first-fit free list, 16-float aligned);
 //  * replay  — Executable::run binds {input, output, arena} and walks the
 //    op list. No shape checks, no dispatch, no per-op allocation.
 //
-// Bit-identity contract: a captured plan must produce bit-identical outputs
-// to the eager snapshot runner. Capture therefore re-uses the exact eager
-// kernels (or shares their loop bodies via the strided entry points in
-// ag::fwd / tensor_ops), makes the same GEMM small-vs-blocked dispatch
-// decisions ahead of time, and keeps every float summation order unchanged.
-// Fusions are restricted to ones that provably preserve rounding (no new
-// fma contraction across a stored intermediate). tests/test_graph.cpp gates
-// this op-by-op and end-to-end.
+// Bit-identity contract: a compiled program must produce bit-identical
+// outputs to the tape forward it was recorded from. The compiler therefore
+// re-uses the exact eager kernels (or shares their loop bodies via the
+// strided entry points in ag::fwd / tensor_ops), makes the same GEMM
+// small-vs-blocked dispatch decisions ahead of time, and keeps every float
+// summation order unchanged. Fusions are restricted to ones that provably
+// preserve rounding (no new fma contraction across a stored intermediate).
+// tests/test_graph.cpp gates this end-to-end for every registry network.
 //
 // Escape hatch: RPTCN_DISABLE_PLAN=1 (or set_planning_enabled(false)) makes
-// every plan-aware caller fall back to the eager runners.
+// every plan-aware caller fall back to the tape forward.
 #pragma once
 
 #include <array>
@@ -85,7 +83,6 @@ struct ValueInfo {
   std::size_t floats = 0;  ///< size
   std::size_t def = 0;     ///< defining step
   std::size_t last = 0;    ///< last step that reads or writes it
-  bool aliased = false;    ///< shares its block with the input it replaced
 };
 
 /// An immutable captured-and-planned forward. Thread-safe to replay
@@ -118,8 +115,8 @@ class Executable {
   std::size_t arena_floats_ = 0;
 };
 
-// -- capture-time graph construction ------------------------------------------
-// Emitters (capture.cpp) declare values and ops against a GraphBuilder; the
+// -- compile-time graph construction ------------------------------------------
+// Emitters (graph/train.cpp) declare values and ops against a GraphBuilder; the
 // builder runs liveness + arena assignment in finish(), then bakes each op's
 // closure with the final offsets. Ops never see ValueIds at replay time.
 
@@ -148,11 +145,6 @@ struct EmitSpec {
   std::vector<ValueId> inputs;   ///< values read (extends their liveness)
   std::vector<ValueId> outputs;  ///< values defined (or mutated in place)
   std::vector<ValueId> scratch;  ///< live only during this step
-  /// When set, try to place outputs[0] on this input's arena block (legal if
-  /// the alias target dies at this step and is at least as large). The op
-  /// must tolerate in == out.
-  ValueId alias_target = kNoAlias;
-  static constexpr ValueId kNoAlias = static_cast<ValueId>(-1);
 };
 
 class GraphBuilder {
@@ -195,11 +187,11 @@ class GraphBuilder {
 
 // -- plan cache ---------------------------------------------------------------
 
-/// Captures a plan for one input shape [N, F, T].
+/// Compiles a plan for one input shape [N, F, T]; nullptr declines it.
 using CaptureFn = std::function<std::shared_ptr<const Executable>(
     std::size_t n, std::size_t f, std::size_t t)>;
 
-/// Shape-keyed cache of Executables for one model snapshot. A hot-swap
+/// Shape-keyed cache of Executables for one set of network weights. A hot-swap
 /// installs a new session (and with it a new PlanCache), so generation
 /// invalidation is structural: stale plans die with the session that owns
 /// them and can never serve a new generation's weights.
@@ -209,6 +201,8 @@ class PlanCache {
 
   /// Plan for shape [n, f, t]: cached, or captured under the lock (so a
   /// shape is captured exactly once even under concurrent first calls).
+  /// nullptr when the capture declined the shape; the caller serves its
+  /// tape fallback.
   std::shared_ptr<const Executable> get(std::size_t n, std::size_t f,
                                         std::size_t t);
 

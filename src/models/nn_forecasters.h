@@ -23,9 +23,9 @@ struct NnTrainConfig {
   opt::Loss loss = opt::Loss::kMse;  ///< kPinball -> quantile forecaster
   float pinball_tau = 0.9f;
   /// Run each epoch's validation pass through the planned executor
-  /// (graph capture + arena replay) instead of the tape forward. Loss
-  /// curves are bit-identical either way (the planned executor's
-  /// contract); this trades a per-epoch capture for faster evaluation on
+  /// (graph::compile_forward + arena replay) instead of the tape forward.
+  /// Loss curves are bit-identical either way (the planned executor's
+  /// contract); this trades a per-epoch compile for faster evaluation on
   /// large validation sets. Ignored while RPTCN_DISABLE_PLAN=1.
   bool planned_eval = false;
   /// Run each training batch through the planned full-step executor

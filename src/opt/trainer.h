@@ -74,9 +74,10 @@ struct TrainOptions {
   /// Invoked after each epoch's set_training(false), i.e. against the
   /// freshly-updated weights; the returned forward replaces `forward` for
   /// that evaluation only. Wired by models::fit_net when
-  /// NnTrainConfig.planned_eval is set (captures a graph::snapshot of the
-  /// epoch's weights and replays it through the planned executor — by the
-  /// bit-identity contract the loss curve is unchanged).
+  /// NnTrainConfig.planned_eval is set (compiles the net's eval-mode forward
+  /// against the epoch's weights with graph::compile_forward and replays it
+  /// through the planned executor — by the bit-identity contract the loss
+  /// curve is unchanged).
   std::function<ForwardFn()> eval_forward_factory;
   /// Optional planned training step (ISSUE 8). Invoked once at the start of
   /// fit(); when it returns non-null, each batch goes through

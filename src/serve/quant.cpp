@@ -3,24 +3,28 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "nn/cnn_lstm.h"
+#include "nn/lstm.h"
 #include "tensor/tensor_ops.h"
 
 namespace rptcn::serve {
 
 namespace {
 
-QLinearSnap quantize_linear(const LinearSnap& s) {
+QLinearSnap quantize_linear(const nn::Linear& layer) {
+  const Tensor& w = layer.weight().value();
   QLinearSnap q;
-  q.w = quantize_rows_symmetric(s.w.raw(), s.w.dim(0), s.w.dim(1));
-  q.b = s.b;
+  q.w = quantize_rows_symmetric(w.raw(), w.dim(0), w.dim(1));
+  if (layer.bias().defined()) q.b = layer.bias().value();
   return q;
 }
 
-QLstmSnap quantize_lstm(const LstmSnap& s) {
+QLstmSnap quantize_lstm(const nn::Lstm& lstm) {
+  const Tensor& w = lstm.gate_weights().value();
   QLstmSnap q;
-  q.w = quantize_rows_symmetric(s.w.raw(), s.w.dim(0), s.w.dim(1));
-  q.b = s.b;
-  q.hidden = s.hidden;
+  q.w = quantize_rows_symmetric(w.raw(), w.dim(0), w.dim(1));
+  q.b = lstm.gate_biases().value();
+  q.hidden = lstm.hidden_size();
   return q;
 }
 
@@ -45,7 +49,7 @@ Tensor qlinear_forward(const QuantizedMatrix& qw, const Tensor& b,
   return y;
 }
 
-/// Mirror of graph's lstm_forward with the gate GEMM quantized per step;
+/// Mirror of nn::Lstm::forward with the gate GEMM quantized per step;
 /// gate nonlinearities and the cell update stay float (dispatched kernels).
 Tensor qlstm_forward(const QLstmSnap& s, const Tensor& x) {
   const std::size_t n = x.dim(0), t_len = x.dim(2), hid = s.hidden;
@@ -69,25 +73,35 @@ Tensor qhead_forward(const QLinearSnap& head, const Tensor& h) {
   return qlinear_forward(head.w, head.b, h);
 }
 
-/// Pinned-dispatch float conv forward, same as the float runner's.
-Tensor conv_forward(const ConvSnap& s, const Tensor& x) {
-  return ag::fwd::conv1d(x, s.w, s.b.empty() ? nullptr : &s.b, s.dilation,
-                         s.left_pad, /*dispatch_n=*/1);
+/// Float conv front-end, dispatch pinned to N=1 as on the float path.
+Tensor conv_forward(const QCnnLstmSnap& s, const Tensor& x) {
+  return ag::fwd::conv1d(x, s.conv_w, s.conv_b.empty() ? nullptr : &s.conv_b,
+                         s.conv_dilation, s.conv_left_pad, /*dispatch_n=*/1);
 }
 
 }  // namespace
 
-QLstmNetSnap quantize(const LstmNetSnap& snap) {
-  return {quantize_lstm(snap.lstm), quantize_linear(snap.head)};
+QLstmNetSnap quantize(const nn::LstmNet& net) {
+  return {quantize_lstm(net.lstm()), quantize_linear(net.head())};
 }
 
-QBiLstmNetSnap quantize(const BiLstmNetSnap& snap) {
-  return {quantize_lstm(snap.fwd), quantize_lstm(snap.bwd),
-          quantize_linear(snap.head)};
+QBiLstmNetSnap quantize(const nn::BiLstmNet& net) {
+  return {quantize_lstm(net.forward_lstm()), quantize_lstm(net.backward_lstm()),
+          quantize_linear(net.head())};
 }
 
-QCnnLstmSnap quantize(const CnnLstmSnap& snap) {
-  return {snap.conv, quantize_lstm(snap.lstm), quantize_linear(snap.head)};
+QCnnLstmSnap quantize(const nn::CnnLstm& net) {
+  const nn::Conv1d& conv = net.conv();
+  RPTCN_CHECK(!conv.options().weight_norm,
+              "quantize: CnnLstm conv is expected without weight norm");
+  QCnnLstmSnap q;
+  q.conv_w = conv.weight_v().value();
+  if (conv.bias().defined()) q.conv_b = conv.bias().value();
+  q.conv_dilation = conv.options().dilation;
+  q.conv_left_pad = conv.options().causal ? -1 : 0;
+  q.lstm = quantize_lstm(net.lstm());
+  q.head = quantize_linear(net.head());
+  return q;
 }
 
 Tensor forward(const QLstmNetSnap& snap, const Tensor& x) {
@@ -101,7 +115,7 @@ Tensor forward(const QBiLstmNetSnap& snap, const Tensor& x) {
 }
 
 Tensor forward(const QCnnLstmSnap& snap, const Tensor& x) {
-  const Tensor h = rptcn::relu(conv_forward(snap.conv, x));
+  const Tensor h = rptcn::relu(conv_forward(snap, x));
   return qhead_forward(snap.head, qlstm_forward(snap.lstm, h));
 }
 

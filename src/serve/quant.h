@@ -1,6 +1,6 @@
 // Int8 quantized weight snapshots for inference-only serving.
 //
-// A quantized snapshot is derived from a float graph:: snapshot by
+// A quantized snapshot is read straight from a fitted network by
 // quantizing every GEMM-shaped weight matrix (LSTM packed gate weights,
 // linear heads) per output channel with symmetric int8 scales
 // (tensor/quant.h). At run time activations are quantized dynamically —
@@ -24,8 +24,14 @@
 // byte-identical).
 #pragma once
 
-#include "serve/snapshot.h"
 #include "tensor/quant.h"
+#include "tensor/tensor.h"
+
+namespace rptcn::nn {
+class LstmNet;
+class BiLstmNet;
+class CnnLstm;
+}  // namespace rptcn::nn
 
 namespace rptcn::serve {
 
@@ -56,15 +62,20 @@ struct QBiLstmNetSnap {
 };
 
 struct QCnnLstmSnap {
-  ConvSnap conv;  ///< stays float (im2col + float GEMM)
+  // The conv front-end stays float (im2col + float GEMM); CnnLstm's conv
+  // has no weight norm, so its weight is the parameter itself.
+  Tensor conv_w;  ///< [Cout, Cin, K]
+  Tensor conv_b;  ///< [Cout]
+  std::size_t conv_dilation = 1;
+  std::ptrdiff_t conv_left_pad = -1;  ///< -1 = causal
   QLstmSnap lstm;
   QLinearSnap head;
 };
 
-// -- builders: quantize a float snapshot (deterministic, byte-stable) --------
-QLstmNetSnap quantize(const LstmNetSnap& snap);
-QBiLstmNetSnap quantize(const BiLstmNetSnap& snap);
-QCnnLstmSnap quantize(const CnnLstmSnap& snap);
+// -- builders: quantize a fitted net (deterministic, byte-stable) ------------
+QLstmNetSnap quantize(const nn::LstmNet& net);
+QBiLstmNetSnap quantize(const nn::BiLstmNet& net);
+QCnnLstmSnap quantize(const nn::CnnLstm& net);
 
 // -- quantized eval forward runners: x [N, F, T] -> [N, horizon] -------------
 Tensor forward(const QLstmNetSnap& snap, const Tensor& x);

@@ -1,8 +1,11 @@
 #include "serve/session.h"
 
+#include <algorithm>
 #include <sstream>
 
+#include "graph/train.h"
 #include "models/nn_forecasters.h"
+#include "serve/quant.h"
 
 namespace rptcn::serve {
 
@@ -25,12 +28,37 @@ models::Forecaster& require_forecaster(
   return *forecaster;
 }
 
+/// Deep copy: a fresh net of the same options with every parameter value
+/// copied in, so the session never shares storage with the caller's net.
+template <typename Net>
+std::unique_ptr<Net> copy_net(const Net& net) {
+  auto copy = std::make_unique<Net>(net.options());
+  const std::vector<Variable> src = net.parameters();
+  std::vector<Variable> dst = copy->parameters();
+  RPTCN_CHECK(src.size() == dst.size(),
+              "InferenceSession: network copy has a different parameter list");
+  for (std::size_t i = 0; i < src.size(); ++i)
+    dst[i].mutable_value() = src[i].value();
+  return copy;
+}
+
+/// Int8 runner for the LSTM-family nets; RPTCN (conv-bound) has none.
+std::function<Tensor(const Tensor&)> quantized_runner(const nn::RptcnNet&) {
+  return nullptr;
+}
+
+template <typename Net>
+std::function<Tensor(const Tensor&)> quantized_runner(const Net& net) {
+  auto q = std::make_shared<const decltype(quantize(net))>(quantize(net));
+  return [q](const Tensor& x) { return forward(*q, x); };
+}
+
 }  // namespace
 
 InferenceSession::InferenceSession(std::shared_ptr<models::Forecaster> forecaster,
                                    SessionOptions options)
     : InferenceSession(require_forecaster(forecaster), options) {
-  // Only delegating sessions need the keep-alive; a snapshot is
+  // Only delegating sessions need the keep-alive; a network copy is
   // self-contained and holding the forecaster would double its weights.
   if (delegate_ != nullptr) owner_ = std::move(forecaster);
 }
@@ -38,99 +66,85 @@ InferenceSession::InferenceSession(std::shared_ptr<models::Forecaster> forecaste
 InferenceSession::InferenceSession(models::Forecaster& forecaster,
                                    SessionOptions options)
     : name_(forecaster.name()) {
-  const auto take = [this, &options](const auto& net) {
-    snap_ = serve::snapshot(net);
-    horizon_ = net.options().horizon;
-    input_features_ = net.options().input_features;
-    if (options.quantized) init_quantized();
-    if (!quantized()) init_plans();
-  };
   if (const auto* rptcn = dynamic_cast<const models::RptcnForecaster*>(&forecaster)) {
-    take(require_net(rptcn->net(), name_));
+    init(require_net(rptcn->net(), name_), options);
   } else if (const auto* tcn = dynamic_cast<const models::TcnForecaster*>(&forecaster)) {
-    take(require_net(tcn->net(), name_));
+    init(require_net(tcn->net(), name_), options);
   } else if (const auto* lstm = dynamic_cast<const models::LstmForecaster*>(&forecaster)) {
-    take(require_net(lstm->net(), name_));
+    init(require_net(lstm->net(), name_), options);
   } else if (const auto* bilstm = dynamic_cast<const models::BiLstmForecaster*>(&forecaster)) {
-    take(require_net(bilstm->net(), name_));
+    init(require_net(bilstm->net(), name_), options);
   } else if (const auto* cnnlstm = dynamic_cast<const models::CnnLstmForecaster*>(&forecaster)) {
-    take(require_net(cnnlstm->net(), name_));
+    init(require_net(cnnlstm->net(), name_), options);
   } else {
     // No tensor weights (ARIMA, XGBoost): serve through the forecaster's own
-    // batch-invariant predict(), serialised by delegate_mutex_.
+    // batch-invariant predict(), serialised by forward_mutex_.
     delegate_ = &forecaster;
   }
 }
 
 InferenceSession::InferenceSession(const nn::RptcnNet& net,
                                    SessionOptions options)
-    : name_("RPTCN"),
-      horizon_(net.options().horizon),
-      input_features_(net.options().input_features),
-      snap_(serve::snapshot(net)) {
-  if (options.quantized) init_quantized();  // no-op: RPTCN stays float
-  init_plans();
+    : name_("RPTCN") {
+  init(net, options);  // quantization request is a no-op: RPTCN stays float
 }
 
 InferenceSession::InferenceSession(const nn::LstmNet& net,
                                    SessionOptions options)
-    : name_("LSTM"),
-      horizon_(net.options().horizon),
-      input_features_(net.options().input_features),
-      snap_(serve::snapshot(net)) {
-  if (options.quantized) init_quantized();
-  if (!quantized()) init_plans();
+    : name_("LSTM") {
+  init(net, options);
 }
 
 InferenceSession::InferenceSession(const nn::BiLstmNet& net,
                                    SessionOptions options)
-    : name_("BiLSTM"),
-      horizon_(net.options().horizon),
-      input_features_(net.options().input_features),
-      snap_(serve::snapshot(net)) {
-  if (options.quantized) init_quantized();
-  if (!quantized()) init_plans();
+    : name_("BiLSTM") {
+  init(net, options);
 }
 
 InferenceSession::InferenceSession(const nn::CnnLstm& net,
                                    SessionOptions options)
-    : name_("CNN-LSTM"),
-      horizon_(net.options().horizon),
-      input_features_(net.options().input_features),
-      snap_(serve::snapshot(net)) {
-  if (options.quantized) init_quantized();
-  if (!quantized()) init_plans();
+    : name_("CNN-LSTM") {
+  init(net, options);
 }
 
-void InferenceSession::init_quantized() {
-  // Quantize the GEMM-shaped weights of the LSTM-family snapshots; RPTCN
-  // (conv-bound) and delegated models fall through with qsnap_ left empty —
-  // quantized() then reports the truth. The float snap_ is kept: it is the
-  // reference the accuracy tests compare against, and horizon/feature
-  // metadata lives there.
-  if (const auto* lstm = std::get_if<LstmNetSnap>(&snap_)) {
-    qsnap_ = serve::quantize(*lstm);
-  } else if (const auto* bilstm = std::get_if<BiLstmNetSnap>(&snap_)) {
-    qsnap_ = serve::quantize(*bilstm);
-  } else if (const auto* cnnlstm = std::get_if<CnnLstmSnap>(&snap_)) {
-    qsnap_ = serve::quantize(*cnnlstm);
-  }
+InferenceSession::InferenceSession(std::string name,
+                                   std::unique_ptr<nn::Module> net,
+                                   ForwardFn forward, std::size_t horizon,
+                                   std::size_t input_features)
+    : name_(std::move(name)),
+      horizon_(horizon),
+      input_features_(input_features) {
+  RPTCN_CHECK(net != nullptr && forward != nullptr,
+              "InferenceSession: network and forward are required");
+  serve_net(std::move(net), std::move(forward));
 }
 
-void InferenceSession::init_plans() {
-  // Capture closures deep-copy the snapshot's tensors, so the cache stays
-  // valid for the session's whole lifetime; serving captures pin conv
-  // dispatch to N=1 (CaptureOptions default), matching the eager runner's
-  // batch-invariance guarantee.
-  std::visit(
-      [this](const auto& snap) {
-        if constexpr (!std::is_same_v<std::decay_t<decltype(snap)>,
-                                      std::monostate>) {
-          plans_ = std::make_unique<graph::PlanCache>(
-              graph::make_capture_fn(snap));
-        }
-      },
-      snap_);
+template <typename Net>
+void InferenceSession::init(const Net& net, const SessionOptions& options) {
+  horizon_ = net.options().horizon;
+  input_features_ = net.options().input_features;
+  if (options.quantized) quantized_ = quantized_runner(net);
+  if (quantized_ != nullptr) return;  // int8 serving needs no float copy
+  std::unique_ptr<Net> copy = copy_net(net);
+  Net* raw = copy.get();
+  serve_net(std::move(copy),
+            [raw](const Variable& x) { return raw->forward(x); });
+}
+
+void InferenceSession::serve_net(std::unique_ptr<nn::Module> net,
+                                 ForwardFn forward) {
+  net_ = std::move(net);
+  net_->set_training(false);
+  forward_ = std::move(forward);
+  // dispatch_n = 1: a coalesced batch replays every row exactly as its own
+  // N=1 forward. The probe runs the copy's forward, hence the mutex.
+  plans_ = std::make_unique<graph::PlanCache>(
+      [this](std::size_t n, std::size_t f, std::size_t t) {
+        std::lock_guard<std::mutex> lock(forward_mutex_);
+        auto exec = graph::compile_forward(forward_, n, f, t, /*dispatch_n=*/1);
+        if (exec == nullptr) declined_.fetch_add(1, std::memory_order_relaxed);
+        return exec;
+      });
 }
 
 std::string InferenceSession::expected_shape() const {
@@ -153,6 +167,23 @@ std::string InferenceSession::expected_shape() const {
   return os.str();
 }
 
+Tensor InferenceSession::tape_forward(const Tensor& inputs) const {
+  const std::size_t n = inputs.dim(0), f = inputs.dim(1), t = inputs.dim(2);
+  Tensor out({n, horizon_});
+  std::lock_guard<std::mutex> lock(forward_mutex_);
+  NoGradScope no_grad;
+  for (std::size_t i = 0; i < n; ++i) {
+    Tensor row({1, f, t});
+    std::copy_n(inputs.raw() + i * f * t, f * t, row.raw());
+    const Tensor y = forward_(Variable(std::move(row))).value();
+    RPTCN_CHECK(y.size() == horizon_, "InferenceSession: model \""
+                                          << name_ << "\" produced "
+                                          << y.shape_string() << " for one row");
+    std::copy_n(y.raw(), horizon_, out.raw() + i * horizon_);
+  }
+  return out;
+}
+
 Tensor InferenceSession::run(const Tensor& inputs) const {
   RPTCN_CHECK(inputs.rank() == 3, "InferenceSession::run: model \""
                                       << name_ << "\" expects "
@@ -160,7 +191,7 @@ Tensor InferenceSession::run(const Tensor& inputs) const {
                                       << inputs.shape_string());
   if (delegate_ != nullptr) {
     runs_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(delegate_mutex_);
+    std::lock_guard<std::mutex> lock(forward_mutex_);
     return delegate_->predict(inputs);
   }
   RPTCN_CHECK(input_features_ == 0 || inputs.dim(1) == input_features_,
@@ -168,35 +199,16 @@ Tensor InferenceSession::run(const Tensor& inputs) const {
                   << name_ << "\" expects " << expected_shape() << ", got "
                   << inputs.shape_string());
   runs_.fetch_add(1, std::memory_order_relaxed);
-  if (!std::holds_alternative<std::monostate>(qsnap_)) {
+  if (quantized_ != nullptr) {
     plan_bypass_.fetch_add(1, std::memory_order_relaxed);
     plan_bypass_counter_.add(1);
-    return std::visit(
-        [&](const auto& qsnap) -> Tensor {
-          if constexpr (std::is_same_v<std::decay_t<decltype(qsnap)>,
-                                       std::monostate>) {
-            RPTCN_CHECK(false, "InferenceSession: no quantized snapshot");
-            return Tensor();  // unreachable; silences -Wreturn-type
-          } else {
-            return serve::forward(qsnap, inputs);
-          }
-        },
-        qsnap_);
+    return quantized_(inputs);
   }
-  if (plans_ != nullptr && graph::planning_enabled())
-    return plans_->get(inputs.dim(0), inputs.dim(1), inputs.dim(2))
-        ->run(inputs);
-  return std::visit(
-      [&](const auto& snap) -> Tensor {
-        if constexpr (std::is_same_v<std::decay_t<decltype(snap)>,
-                                     std::monostate>) {
-          RPTCN_CHECK(false, "InferenceSession: no snapshot");
-          return Tensor();  // unreachable; silences -Wreturn-type
-        } else {
-          return serve::forward(snap, inputs);
-        }
-      },
-      snap_);
+  if (graph::planning_enabled()) {
+    const auto exec = plans_->get(inputs.dim(0), inputs.dim(1), inputs.dim(2));
+    if (exec != nullptr) return exec->run(inputs);
+  }
+  return tape_forward(inputs);
 }
 
 }  // namespace rptcn::serve

@@ -26,8 +26,10 @@ bool IngestChannel::ingest(const std::vector<double>& row) {
               "IngestChannel::ingest got " << row.size() << " values for "
                                            << names_.size() << " features");
   for (const double v : row) {
-    if (std::isnan(v)) {
+    if (!std::isfinite(v)) {
       // Same rule as data::clean_drop_incomplete: the whole tick vanishes.
+      // An infinity is no measurement either, and would poison the
+      // normalizer's running moments for good.
       ++dropped_;
       return false;
     }

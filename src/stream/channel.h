@@ -36,14 +36,15 @@ class IngestChannel {
   explicit IngestChannel(std::vector<std::string> names,
                          ChannelOptions options = {});
 
-  /// Fold one tick into the channel. A row containing any NaN is dropped
-  /// whole — exactly data::clean_drop_incomplete — and false is returned;
-  /// a complete row updates the normalizer then the rings.
+  /// Fold one tick into the channel. A row containing any non-finite value
+  /// (NaN or ±Inf) is dropped whole — as data::clean_drop_incomplete drops
+  /// NaN rows — and false is returned; a complete row updates the
+  /// normalizer then the rings.
   bool ingest(const std::vector<double>& row);
 
   /// Complete ticks accepted into the rings.
   std::size_t ticks() const { return ticks_; }
-  /// Incomplete ticks dropped.
+  /// Incomplete (non-finite) ticks dropped.
   std::size_t dropped() const { return dropped_; }
   /// True once `window` ticks are retained.
   bool ready(std::size_t window) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 
 #include "common/check.h"
@@ -96,14 +97,35 @@ FittedGeneration fit_generation(const data::TimeSeriesFrame& frame,
   return g;
 }
 
+namespace {
+
+/// A fit the quality gate refuses: a non-finite validation loss always (a
+/// diverged fit; ARIMA and XGBoost report 0), an over-threshold one while
+/// the max_valid_loss gate is on.
+bool fails_gate(const FittedGeneration& g, double max_valid_loss) {
+  const double loss = g.outcome.valid_loss;
+  return g.session != nullptr &&
+         (!std::isfinite(loss) || (max_valid_loss > 0.0 && loss > max_valid_loss));
+}
+
+/// True when attempt `g` should replace `best`: any fit beats an error, a
+/// finite validation loss beats a non-finite one, then lower loss wins.
+bool better_attempt(const FittedGeneration& g, const FittedGeneration& best) {
+  if (g.session == nullptr) return false;
+  if (best.session == nullptr) return true;
+  const bool g_finite = std::isfinite(g.outcome.valid_loss);
+  if (g_finite != std::isfinite(best.outcome.valid_loss)) return g_finite;
+  return g.outcome.valid_loss < best.outcome.valid_loss;
+}
+
+}  // namespace
+
 FittedGeneration fit_generation_gated(const data::TimeSeriesFrame& frame,
                                       const OnlineNormalizer& normalizer,
                                       const RetrainOptions& options,
                                       std::uint64_t next_generation,
                                       const std::string& reason) {
-  if (options.max_valid_loss <= 0.0)
-    return fit_generation(frame, normalizer, options, next_generation, reason);
-
+  const bool gate_on = options.max_valid_loss > 0.0;
   // Attempts fit without touching the per-generation checkpoint path: only
   // the winner is saved, below, so a losing retry can never overwrite a
   // better attempt's weights and gen_<N>.ckpt always matches
@@ -113,13 +135,13 @@ FittedGeneration fit_generation_gated(const data::TimeSeriesFrame& frame,
   FittedGeneration best = fit_generation(frame, normalizer, attempt_options,
                                          next_generation, reason);
 
+  // Retry while the winner fails the gate (or, with the gate on, errored).
   const std::size_t attempts = std::max<std::size_t>(options.fit_attempts, 1);
   double total_seconds = best.outcome.fit_seconds;
   std::size_t tried = 1;
   for (std::size_t attempt = 1;
-       attempt < attempts &&
-       (best.session == nullptr ||
-        best.outcome.valid_loss > options.max_valid_loss);
+       attempt < attempts && (fails_gate(best, options.max_valid_loss) ||
+                              (gate_on && best.session == nullptr));
        ++attempt) {
     RetrainOptions retry = attempt_options;
     retry.model.nn.seed += attempt;  // a different weight init basin
@@ -127,16 +149,11 @@ FittedGeneration fit_generation_gated(const data::TimeSeriesFrame& frame,
         fit_generation(frame, normalizer, retry, next_generation, reason);
     total_seconds += g.outcome.fit_seconds;
     ++tried;
-    if (g.session != nullptr &&
-        (best.session == nullptr ||
-         g.outcome.valid_loss < best.outcome.valid_loss))
-      best = std::move(g);
+    if (better_attempt(g, best)) best = std::move(g);
   }
   best.outcome.fit_seconds = total_seconds;
   best.outcome.attempts = tried;
-  best.outcome.quality_rejected =
-      best.session != nullptr &&
-      best.outcome.valid_loss > options.max_valid_loss;
+  best.outcome.quality_rejected = fails_gate(best, options.max_valid_loss);
   // A rejected generation is never installed by the retrainer, so it leaves
   // no gen_<N>.ckpt behind; installers that keep it anyway (bootstrap)
   // checkpoint it themselves.

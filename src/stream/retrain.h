@@ -50,6 +50,8 @@ struct RetrainOptions {
   /// Fixed-seed training occasionally early-stops in a bad basin on one
   /// trailing window (an order of magnitude above its neighbours' loss);
   /// shipping such a generation costs far more than one extra fit. 0 = off.
+  /// A non-finite validation loss (a diverged fit) fails the gate even
+  /// when it is off.
   double max_valid_loss = 0.0;
   std::size_t fit_attempts = 2;      ///< total tries while the gate fails
   /// Metrics tenant label for the stream/retrain* series and the generation
@@ -76,7 +78,8 @@ struct RetrainOutcome {
   double valid_loss = 0.0;           ///< best validation loss of the fit
   std::size_t train_samples = 0;
   std::size_t attempts = 1;          ///< fits run (> 1 when the gate retried)
-  bool quality_rejected = false;     ///< every attempt failed max_valid_loss
+  /// Every attempt failed the gate: max_valid_loss, or a non-finite loss.
+  bool quality_rejected = false;
 };
 
 /// A fitted generation. The session co-owns the forecaster when it
@@ -113,8 +116,9 @@ FittedGeneration fit_generation(const data::TimeSeriesFrame& frame,
 /// fit_generation with the max_valid_loss quality gate: retries with a
 /// perturbed weight seed while the gate fails (up to fit_attempts fits) and
 /// returns the lowest-valid-loss attempt, outcome.quality_rejected set when
-/// even that one failed the gate. With the gate disabled this is exactly
-/// one fit_generation call. Under the gate only the winning attempt is
+/// even that one failed the gate. A non-finite validation loss fails the
+/// gate whatever max_valid_loss is; otherwise, with the gate disabled, this
+/// is exactly one fit. Only the winning attempt is
 /// checkpointed, and only when it passed — gen_<N>.ckpt always holds the
 /// weights outcome.checkpoint_path points at, never a losing retry's, and
 /// a rejected generation leaves no checkpoint behind (callers that install

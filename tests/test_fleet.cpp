@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -249,6 +250,29 @@ TEST(FleetIngest, ForecastsEveryTickAndRecordsLatencies) {
   const EntityStats es = fleet->entity_stats("web-0");
   EXPECT_EQ(es.forecasts, 30u);
   EXPECT_GT(es.mean_abs_residual, 0.0);
+}
+
+TEST(FleetIngest, InfiniteTicksAreDroppedNotForecast) {
+  FleetOptions o = tiny_fleet_options("inf");
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_cohort("web", arima_spec(), 1, "web-")
+                   .build();
+  fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 17));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(fleet->ingest("web-0", {inf, 0.3}), Admission::kAccepted);
+  EXPECT_EQ(fleet->ingest("web-0", {0.3, -inf}), Admission::kAccepted);
+  EXPECT_EQ(fleet->ingest("web-0", {0.3, 0.3}), Admission::kAccepted);
+  fleet->drain();
+
+  const FleetStats stats = fleet->stats();
+  EXPECT_EQ(stats.ticks_dropped, 2u);
+  EXPECT_EQ(stats.ticks_accepted, 1u);
+  EXPECT_EQ(stats.forecasts, 1u);
+  const EntityStats es = fleet->entity_stats("web-0");
+  EXPECT_EQ(es.dropped, 2u);
+  EXPECT_EQ(es.forecasts, 1u);
 }
 
 TEST(FleetIngest, UnknownEntityIsRejectedByName) {

@@ -302,9 +302,8 @@ TEST(Quant, SnapshotQuantizationIsDeterministic) {
   opt.hidden = 5;
   opt.seed = 71;
   nn::LstmNet net(opt);
-  const serve::LstmNetSnap snap = serve::snapshot(net);
-  const serve::QLstmNetSnap a = serve::quantize(snap);
-  const serve::QLstmNetSnap b = serve::quantize(snap);
+  const serve::QLstmNetSnap a = serve::quantize(net);
+  const serve::QLstmNetSnap b = serve::quantize(net);
   ASSERT_EQ(a.lstm.w.data.size(), b.lstm.w.data.size());
   EXPECT_EQ(std::memcmp(a.lstm.w.data.data(), b.lstm.w.data.data(),
                         a.lstm.w.data.size()),

@@ -19,6 +19,7 @@
 #include "models/registry.h"
 #include "nn/rptcn_net.h"
 #include "serve/engine.h"
+#include "stream/channel.h"
 #include "stream/drift.h"
 #include "stream/normalizer.h"
 #include "stream/pipeline.h"
@@ -605,6 +606,70 @@ TEST(StreamRetrain, QualityGateRetriesAndRefusesBadFits) {
   EXPECT_FALSE(retrainer.last().swapped);
   EXPECT_TRUE(retrainer.last().quality_rejected);
   EXPECT_EQ(engine.generation(), 1u);
+}
+
+TEST(StreamRetrain, NonFiniteValidationLossFailsTheGateEvenWhenOff) {
+  const data::TimeSeriesFrame full = single_regime_trace(260, 38);
+  StreamSource source(std::make_unique<ReplayProvider>(full),
+                      SourceOptions{kFeatures, 512, {}});
+  while (source.poll()) {
+  }
+
+  // A forced divergence: Adam steps of ~1e35 blow every weight up, so the
+  // validation loss is no longer a number. With the max_valid_loss gate
+  // off (the default) the fit must still be rejected, after a retry.
+  RetrainOptions diverge = tiny_retrain(200);
+  diverge.model.nn.learning_rate = 1e35f;
+  diverge.fit_attempts = 2;
+  diverge.checkpoint_dir = ::testing::TempDir() + "diverged_never_created";
+  ASSERT_EQ(diverge.max_valid_loss, 0.0);
+  const FittedGeneration bad = fit_generation_gated(
+      source.history(200), source.normalizer(), diverge, 3, "test");
+  ASSERT_NE(bad.session, nullptr) << bad.outcome.error;
+  EXPECT_FALSE(std::isfinite(bad.outcome.valid_loss));
+  EXPECT_TRUE(bad.outcome.quality_rejected);
+  EXPECT_EQ(bad.outcome.attempts, 2u);
+  EXPECT_TRUE(bad.outcome.checkpoint_path.empty());
+
+  // The retrainer refuses to swap it in: the incumbent keeps serving.
+  FittedGeneration g0 = fit_generation(source.history(200),
+                                       source.normalizer(), tiny_retrain(200),
+                                       1, "bootstrap");
+  ASSERT_NE(g0.session, nullptr);
+  ASSERT_TRUE(std::isfinite(g0.outcome.valid_loss));
+  serve::BatchingEngine engine(g0.session, {});
+  diverge.checkpoint_dir.clear();
+  RollingRetrainer retrainer(engine, diverge);
+  ASSERT_TRUE(retrainer.request(source.history(200), source.normalizer(),
+                                "test", 200));
+  retrainer.wait_idle();
+  EXPECT_FALSE(retrainer.last().swapped);
+  EXPECT_TRUE(retrainer.last().quality_rejected);
+  EXPECT_EQ(engine.generation(), 1u);
+
+  // A finite fit with the gate off is one attempt and passes, as before.
+  const FittedGeneration ok = fit_generation_gated(
+      source.history(200), source.normalizer(), tiny_retrain(200), 4, "test");
+  ASSERT_NE(ok.session, nullptr);
+  EXPECT_FALSE(ok.outcome.quality_rejected);
+  EXPECT_EQ(ok.outcome.attempts, 1u);
+}
+
+TEST(StreamChannel, InfiniteTicksAreDroppedLikeNaN) {
+  IngestChannel channel({"cpu", "mem"});
+  EXPECT_TRUE(channel.ingest({0.25, 0.5}));
+  EXPECT_FALSE(channel.ingest({std::numeric_limits<double>::infinity(), 0.5}));
+  EXPECT_FALSE(channel.ingest({0.25, -std::numeric_limits<double>::infinity()}));
+  EXPECT_FALSE(channel.ingest({std::numeric_limits<double>::quiet_NaN(), 0.5}));
+  EXPECT_TRUE(channel.ingest({0.75, 0.1}));
+  EXPECT_EQ(channel.ticks(), 2u);
+  EXPECT_EQ(channel.dropped(), 3u);
+  // Neither the normalizer nor the rings ever saw an infinity.
+  EXPECT_EQ(channel.normalizer().min_of(0), 0.25);
+  EXPECT_EQ(channel.normalizer().max_of(0), 0.75);
+  EXPECT_EQ(channel.normalizer().min_of(1), 0.1);
+  EXPECT_EQ(channel.normalizer().max_of(1), 0.5);
+  EXPECT_EQ(channel.latest_raw(0), 0.75);
 }
 
 TEST(StreamRetrain, CooldownRejectsRapidRetriggers) {
