@@ -95,10 +95,10 @@ Variable slice_cols(const Variable& x, std::size_t start, std::size_t count);
 
 // -- tape-free forward kernels ------------------------------------------------------------
 // Tensor-level forward implementations shared by the Variable ops above and
-// the int8 serving path (serve/quant). Each Variable op computes its forward value
-// by calling the matching fwd:: function, so an inference path built from
-// these is bit-identical to the autograd forward by construction — there is
-// exactly one copy of every forward numeric.
+// the compiled programs of graph/train. Each Variable op computes its forward
+// value by calling the matching fwd:: function, so a program built from these
+// is bit-identical to the autograd forward by construction — there is exactly
+// one copy of every forward numeric.
 namespace fwd {
 
 /// Dilated causal Conv1d forward (same contract as ag::conv1d). dispatch_n

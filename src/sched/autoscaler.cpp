@@ -1,6 +1,7 @@
 #include "sched/autoscaler.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -24,6 +25,13 @@ double clamp(double v, double lo, double hi) {
   return std::min(std::max(v, lo), hi);
 }
 
+/// One resource's target; a non-finite demand targets `hold`.
+double target(double demand, double headroom, double floor, double cap,
+              double hold) {
+  if (!std::isfinite(demand)) return hold;
+  return clamp(std::max(demand, 0.0) * headroom, floor, cap);
+}
+
 /// One resource's decision: immediate up, dead-banded down.
 double step(double current, double target, double deadband) {
   if (target > current) return target;
@@ -39,17 +47,21 @@ Autoscaler::Autoscaler(AutoscalerOptions options) : options_(options) {
 
 Allocation Autoscaler::decide(const std::string& entity,
                               const ResourceForecast& demand_fraction) {
-  const double target_cpu =
-      clamp(std::max(demand_fraction.cpu, 0.0) * options_.headroom,
-            options_.cpu_floor, options_.cpu_cap);
-  const double target_mem =
-      clamp(std::max(demand_fraction.mem, 0.0) * options_.headroom,
-            options_.mem_floor, options_.mem_cap);
-
   const auto it = current_.find(entity);
+  const bool seen = it != current_.end();
+  if (!std::isfinite(demand_fraction.cpu) ||
+      !std::isfinite(demand_fraction.mem))
+    ++nonfinite_forecasts_;
+  const double target_cpu =
+      target(demand_fraction.cpu, options_.headroom, options_.cpu_floor,
+             options_.cpu_cap, seen ? it->second.cpu : options_.cpu_cap);
+  const double target_mem =
+      target(demand_fraction.mem, options_.headroom, options_.mem_floor,
+             options_.mem_cap, seen ? it->second.mem : options_.mem_cap);
+
   Allocation next;
   next.entity = entity;
-  if (it == current_.end()) {
+  if (!seen) {
     next.cpu = target_cpu;
     next.mem = target_mem;
   } else {
@@ -65,6 +77,7 @@ Allocation Autoscaler::decide(const std::string& entity,
 void Autoscaler::reset() {
   current_.clear();
   scale_events_ = 0;
+  nonfinite_forecasts_ = 0;
 }
 
 }  // namespace rptcn::sched

@@ -43,20 +43,26 @@ class Autoscaler {
   /// fraction of one machine's capacity. Scale-ups apply immediately;
   /// scale-downs only past the dead-band; otherwise the previous
   /// allocation is kept. Deterministic per (entity history, demand).
+  /// A non-finite demand (a diverged model's forecast) never becomes an
+  /// allocation: that resource holds the entity's current allocation, or
+  /// its cap on first sight, since under-provisioning is the costlier miss.
   Allocation decide(const std::string& entity,
                     const ResourceForecast& demand_fraction);
 
   /// Allocation changes so far (an entity's first allocation is not a
   /// scale event — churn, not existence, is what this counts).
   std::size_t scale_events() const { return scale_events_; }
+  /// decide() calls whose demand had a non-finite resource.
+  std::size_t nonfinite_forecasts() const { return nonfinite_forecasts_; }
 
-  /// Drop all per-entity state (allocations and the event counter).
+  /// Drop all per-entity state (allocations and both counters).
   void reset();
 
  private:
   AutoscalerOptions options_;
   std::unordered_map<std::string, Allocation> current_;
   std::size_t scale_events_ = 0;
+  std::size_t nonfinite_forecasts_ = 0;
 };
 
 }  // namespace rptcn::sched

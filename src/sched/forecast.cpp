@@ -88,7 +88,11 @@ void SessionSource::fit(const data::TimeSeriesFrame& history,
   stream::FittedGeneration g = stream::fit_generation_gated(
       tail, normalizer, options_.retrain, generation_ + 1, reason);
   last_outcome_ = g.outcome;
-  if (g.session == nullptr) return;  // incumbent keeps serving
+  // A failed or gate-rejected refit keeps the incumbent serving; only the
+  // bootstrap installs a rejected generation, since some model must serve.
+  if (g.session == nullptr ||
+      (session_ != nullptr && g.outcome.quality_rejected))
+    return;
   session_ = std::move(g.session);
   normalizer_ = std::move(normalizer);
   ++generation_;

@@ -88,8 +88,9 @@ struct SessionSourceOptions {
 /// A learned forecaster behind the streaming fit recipe. Construction fits
 /// generation 1 on the bootstrap history and throws (common::CheckError)
 /// if even the gated retries fail — a scheduler must not start without a
-/// model. refit() fits the next generation on fresh history; a failed
-/// refit keeps the incumbent serving, exactly like the streaming layer.
+/// model. refit() fits the next generation on fresh history; a failed or
+/// quality-rejected refit keeps the incumbent serving, exactly like the
+/// streaming layer.
 class SessionSource final : public ForecastSource {
  public:
   SessionSource(std::string name, const data::TimeSeriesFrame& bootstrap,
@@ -108,7 +109,8 @@ class SessionSource final : public ForecastSource {
 
  private:
   /// Fit one generation on `history` (feature-selected tail); installs the
-  /// session only when the fit produced one.
+  /// session when the fit produced one that passed the gate, or when there
+  /// is no incumbent yet.
   void fit(const data::TimeSeriesFrame& history, const std::string& reason);
 
   std::string name_;

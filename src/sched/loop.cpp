@@ -54,6 +54,8 @@ SchedulerLoop::SchedulerLoop(std::vector<EntityTrace> traces,
                                                  options_.tenant)),
       infeasible_counter_(obs::metrics().counter(
           "sched/infeasible_packs_total", options_.tenant)),
+      nonfinite_counter_(obs::metrics().counter(
+          "sched/nonfinite_forecasts_total", options_.tenant)),
       machines_used_gauge_(
           obs::metrics().gauge("sched/machines_used", options_.tenant)),
       forecast_hist_(obs::metrics().histogram("sched/forecast_seconds",
@@ -107,6 +109,7 @@ LoopResult SchedulerLoop::run(
     live.emplace(t.id, a);
   }
   std::size_t prior_scale_events = 0;
+  std::size_t prior_nonfinite = 0;
 
   const auto history_tail = [&](std::size_t entity,
                                 std::size_t tick) -> data::TimeSeriesFrame {
@@ -163,6 +166,8 @@ LoopResult SchedulerLoop::run(
       prior_scale_events = scaler.scale_events();
       result.evaluator.record_scale_events(tick, events);
       scale_events_counter_.add(events);
+      nonfinite_counter_.add(scaler.nonfinite_forecasts() - prior_nonfinite);
+      prior_nonfinite = scaler.nonfinite_forecasts();
       machines_used_gauge_.set(static_cast<double>(pack.machines_used));
     }
 

@@ -22,8 +22,9 @@
 // options -> bit-identical scores. Observability: sched/decisions_total,
 // sched/migrations_total, sched/scale_events_total,
 // sched/sla_violations_total, sched/infeasible_packs_total,
-// sched/machines_used, sched/forecast_seconds, sched/pack_seconds, and a
-// "sched/decision" trace span per round.
+// sched/nonfinite_forecasts_total, sched/machines_used,
+// sched/forecast_seconds, sched/pack_seconds, and a "sched/decision" trace
+// span per round.
 #pragma once
 
 #include <cstddef>
@@ -104,6 +105,7 @@ class SchedulerLoop {
   obs::Counter& scale_events_counter_;
   obs::Counter& violations_counter_;
   obs::Counter& infeasible_counter_;
+  obs::Counter& nonfinite_counter_;
   obs::Gauge& machines_used_gauge_;
   obs::Histogram& forecast_hist_;
   obs::Histogram& pack_hist_;

@@ -5,7 +5,6 @@
 
 #include "graph/train.h"
 #include "models/nn_forecasters.h"
-#include "serve/quant.h"
 
 namespace rptcn::serve {
 
@@ -42,40 +41,27 @@ std::unique_ptr<Net> copy_net(const Net& net) {
   return copy;
 }
 
-/// Int8 runner for the LSTM-family nets; RPTCN (conv-bound) has none.
-std::function<Tensor(const Tensor&)> quantized_runner(const nn::RptcnNet&) {
-  return nullptr;
-}
-
-template <typename Net>
-std::function<Tensor(const Tensor&)> quantized_runner(const Net& net) {
-  auto q = std::make_shared<const decltype(quantize(net))>(quantize(net));
-  return [q](const Tensor& x) { return forward(*q, x); };
-}
-
 }  // namespace
 
-InferenceSession::InferenceSession(std::shared_ptr<models::Forecaster> forecaster,
-                                   SessionOptions options)
-    : InferenceSession(require_forecaster(forecaster), options) {
+InferenceSession::InferenceSession(std::shared_ptr<models::Forecaster> forecaster)
+    : InferenceSession(require_forecaster(forecaster)) {
   // Only delegating sessions need the keep-alive; a network copy is
   // self-contained and holding the forecaster would double its weights.
   if (delegate_ != nullptr) owner_ = std::move(forecaster);
 }
 
-InferenceSession::InferenceSession(models::Forecaster& forecaster,
-                                   SessionOptions options)
+InferenceSession::InferenceSession(models::Forecaster& forecaster)
     : name_(forecaster.name()) {
   if (const auto* rptcn = dynamic_cast<const models::RptcnForecaster*>(&forecaster)) {
-    init(require_net(rptcn->net(), name_), options);
+    init(require_net(rptcn->net(), name_));
   } else if (const auto* tcn = dynamic_cast<const models::TcnForecaster*>(&forecaster)) {
-    init(require_net(tcn->net(), name_), options);
+    init(require_net(tcn->net(), name_));
   } else if (const auto* lstm = dynamic_cast<const models::LstmForecaster*>(&forecaster)) {
-    init(require_net(lstm->net(), name_), options);
+    init(require_net(lstm->net(), name_));
   } else if (const auto* bilstm = dynamic_cast<const models::BiLstmForecaster*>(&forecaster)) {
-    init(require_net(bilstm->net(), name_), options);
+    init(require_net(bilstm->net(), name_));
   } else if (const auto* cnnlstm = dynamic_cast<const models::CnnLstmForecaster*>(&forecaster)) {
-    init(require_net(cnnlstm->net(), name_), options);
+    init(require_net(cnnlstm->net(), name_));
   } else {
     // No tensor weights (ARIMA, XGBoost): serve through the forecaster's own
     // batch-invariant predict(), serialised by forward_mutex_.
@@ -83,28 +69,24 @@ InferenceSession::InferenceSession(models::Forecaster& forecaster,
   }
 }
 
-InferenceSession::InferenceSession(const nn::RptcnNet& net,
-                                   SessionOptions options)
+InferenceSession::InferenceSession(const nn::RptcnNet& net)
     : name_("RPTCN") {
-  init(net, options);  // quantization request is a no-op: RPTCN stays float
+  init(net);
 }
 
-InferenceSession::InferenceSession(const nn::LstmNet& net,
-                                   SessionOptions options)
+InferenceSession::InferenceSession(const nn::LstmNet& net)
     : name_("LSTM") {
-  init(net, options);
+  init(net);
 }
 
-InferenceSession::InferenceSession(const nn::BiLstmNet& net,
-                                   SessionOptions options)
+InferenceSession::InferenceSession(const nn::BiLstmNet& net)
     : name_("BiLSTM") {
-  init(net, options);
+  init(net);
 }
 
-InferenceSession::InferenceSession(const nn::CnnLstm& net,
-                                   SessionOptions options)
+InferenceSession::InferenceSession(const nn::CnnLstm& net)
     : name_("CNN-LSTM") {
-  init(net, options);
+  init(net);
 }
 
 InferenceSession::InferenceSession(std::string name,
@@ -120,11 +102,9 @@ InferenceSession::InferenceSession(std::string name,
 }
 
 template <typename Net>
-void InferenceSession::init(const Net& net, const SessionOptions& options) {
+void InferenceSession::init(const Net& net) {
   horizon_ = net.options().horizon;
   input_features_ = net.options().input_features;
-  if (options.quantized) quantized_ = quantized_runner(net);
-  if (quantized_ != nullptr) return;  // int8 serving needs no float copy
   std::unique_ptr<Net> copy = copy_net(net);
   Net* raw = copy.get();
   serve_net(std::move(copy),
@@ -199,11 +179,6 @@ Tensor InferenceSession::run(const Tensor& inputs) const {
                   << name_ << "\" expects " << expected_shape() << ", got "
                   << inputs.shape_string());
   runs_.fetch_add(1, std::memory_order_relaxed);
-  if (quantized_ != nullptr) {
-    plan_bypass_.fetch_add(1, std::memory_order_relaxed);
-    plan_bypass_counter_.add(1);
-    return quantized_(inputs);
-  }
   if (graph::planning_enabled()) {
     const auto exec = plans_->get(inputs.dim(0), inputs.dim(1), inputs.dim(2));
     if (exec != nullptr) return exec->run(inputs);

@@ -40,7 +40,6 @@
 
 #include "autograd/variable.h"
 #include "graph/plan.h"
-#include "obs/metrics.h"
 #include "tensor/tensor.h"
 
 namespace rptcn::models {
@@ -57,26 +56,9 @@ class CnnLstm;
 
 namespace rptcn::serve {
 
-/// Construction-time serving options.
-struct SessionOptions {
-  /// Serve through the int8 quantized snapshot (serve/quant.h) instead of
-  /// the float planned path. Applies to the LSTM-family nets; the
-  /// conv-bound RPTCN net ignores the request and serves float32 (check
-  /// quantized() for what actually engaged). Quantized runs bypass the
-  /// plan cache: the planned replay's prepacked-GEMM advantage is subsumed
-  /// by the pre-quantized weights, and the int8 runner is eager. Each such
-  /// bypass bumps the process-wide `serve/plan_bypass_quantized` counter
-  /// and the session's stats().plan_bypass_quantized, so the perf cliff is
-  /// observable rather than silent.
-  bool quantized = false;
-};
-
 /// Per-session run accounting (monotonic since construction).
 struct SessionStats {
   std::uint64_t runs = 0;  ///< run() calls that dispatched a forward
-  /// run() calls that served the eager int8 path instead of a planned
-  /// executable. Equals `runs` on a quantized session, 0 otherwise.
-  std::uint64_t plan_bypass_quantized = 0;
   /// Input shapes whose forward compile the compiler declined; their runs
   /// serve the tape fallback. Planning disabled on purpose is not a decline.
   std::uint64_t forward_compile_declined = 0;
@@ -89,25 +71,19 @@ class InferenceSession {
 
   /// Copy a fitted forecaster's network (any registry model). Neural
   /// forecasters must have been fit() or restore()d first.
-  explicit InferenceSession(models::Forecaster& forecaster,
-                            SessionOptions options = {});
+  explicit InferenceSession(models::Forecaster& forecaster);
 
   /// Same, but the session co-owns the forecaster while it delegates
   /// (non-tensor models) — the delegate cannot be freed under a live
   /// session no matter how the caller sequences teardown. Network models
   /// release the forecaster immediately; the copy is self-contained.
-  explicit InferenceSession(std::shared_ptr<models::Forecaster> forecaster,
-                            SessionOptions options = {});
+  explicit InferenceSession(std::shared_ptr<models::Forecaster> forecaster);
 
   // Direct copies of a network, for callers that own the net itself.
-  explicit InferenceSession(const nn::RptcnNet& net,
-                            SessionOptions options = {});
-  explicit InferenceSession(const nn::LstmNet& net,
-                            SessionOptions options = {});
-  explicit InferenceSession(const nn::BiLstmNet& net,
-                            SessionOptions options = {});
-  explicit InferenceSession(const nn::CnnLstm& net,
-                            SessionOptions options = {});
+  explicit InferenceSession(const nn::RptcnNet& net);
+  explicit InferenceSession(const nn::LstmNet& net);
+  explicit InferenceSession(const nn::BiLstmNet& net);
+  explicit InferenceSession(const nn::CnnLstm& net);
 
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
@@ -122,17 +98,12 @@ class InferenceSession {
   std::size_t horizon() const { return horizon_; }
   /// Expected feature count F; 0 when unknown (delegated models).
   std::size_t input_features() const { return input_features_; }
-  /// True iff run() actually serves the int8 quantized path. False when
-  /// quantization was not requested, the model has no quantizable network
-  /// (delegated models), or the net is RPTCN (conv-bound, stays float).
-  bool quantized() const { return quantized_ != nullptr; }
 
   /// Snapshot of this session's run accounting. Thread-safe; counts relaxed
   /// (a concurrent reader may be one run behind a racing writer).
   SessionStats stats() const {
     SessionStats s;
     s.runs = runs_.load(std::memory_order_relaxed);
-    s.plan_bypass_quantized = plan_bypass_.load(std::memory_order_relaxed);
     s.forward_compile_declined = declined_.load(std::memory_order_relaxed);
     return s;
   }
@@ -150,7 +121,7 @@ class InferenceSession {
                    std::size_t input_features);
   /// Shared body of the typed network constructors.
   template <typename Net>
-  void init(const Net& net, const SessionOptions& options);
+  void init(const Net& net);
   /// Own `net`, switch it to evaluation and seed the plan cache.
   void serve_net(std::unique_ptr<nn::Module> net, ForwardFn forward);
   /// The copy's tape forward, one row at a time.
@@ -162,12 +133,10 @@ class InferenceSession {
   std::string name_;
   std::size_t horizon_ = 0;
   std::size_t input_features_ = 0;
-  /// The private eval-mode network and its forward; null for delegated and
-  /// quantized sessions.
+  /// The private eval-mode network and its forward; null for delegated
+  /// sessions.
   std::unique_ptr<nn::Module> net_;
   ForwardFn forward_;
-  /// Int8 runner, set iff quantized serving engaged; run() prefers it.
-  std::function<Tensor(const Tensor&)> quantized_;
   /// Shape-keyed planned executables (null entries: compile declined).
   std::unique_ptr<graph::PlanCache> plans_;
   models::Forecaster* delegate_ = nullptr;  ///< set iff no network
@@ -177,11 +146,7 @@ class InferenceSession {
   /// delegate's predict: neither is safe to run concurrently.
   mutable std::mutex forward_mutex_;
   mutable std::atomic<std::uint64_t> runs_{0};
-  mutable std::atomic<std::uint64_t> plan_bypass_{0};
   std::atomic<std::uint64_t> declined_{0};
-  // Registry handles are process-lifetime stable; resolved once here.
-  obs::Counter& plan_bypass_counter_ =
-      obs::metrics().counter("serve/plan_bypass_quantized");
 };
 
 }  // namespace rptcn::serve

@@ -83,8 +83,7 @@ FittedGeneration fit_generation(const data::TimeSeriesFrame& frame,
 
     // The session co-owns the forecaster while it delegates, so the live
     // snapshot can never outlive the model backing it.
-    g.session = std::make_shared<serve::InferenceSession>(
-        forecaster, serve::SessionOptions{options.quantized_serving});
+    g.session = std::make_shared<serve::InferenceSession>(forecaster);
     g.forecaster = std::move(forecaster);
 
     save_checkpoint(g, options);

@@ -113,7 +113,6 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(kt.vexp, nullptr);
     EXPECT_NE(kt.vtanh, nullptr);
     EXPECT_NE(kt.im2col, nullptr);
-    EXPECT_NE(kt.gemm_s8, nullptr);
   }
 }
 
@@ -351,42 +350,6 @@ TEST(KernelDispatch, Im2colBitParityAcrossTiers) {
         want = std::move(patches);
       else
         expect_bits_equal(patches, want, arch, "im2col");
-    }
-  }
-}
-
-TEST(KernelDispatch, Int8GemmExactAcrossTiers) {
-  ArchGuard guard;
-  Rng rng(707);
-  const GemmShape shapes[] = {{1, 1, 1},   {3, 5, 7},    {8, 8, 16},
-                              {9, 17, 31}, {16, 16, 32}, {17, 19, 33},
-                              {5, 40, 64}, {33, 9, 100}};
-  for (const GemmShape& s : shapes) {
-    std::vector<std::int8_t> a(s.m * s.k), b(s.n * s.k);
-    for (auto& v : a)
-      v = static_cast<std::int8_t>(rng.uniform_int(0, 254) - 127);
-    for (auto& v : b)
-      v = static_cast<std::int8_t>(rng.uniform_int(0, 254) - 127);
-
-    // Integer arithmetic is exact, so the test owns its own reference.
-    std::vector<std::int32_t> want(s.m * s.n, 0);
-    for (std::size_t i = 0; i < s.m; ++i)
-      for (std::size_t j = 0; j < s.n; ++j) {
-        std::int32_t acc = 0;
-        for (std::size_t p = 0; p < s.k; ++p)
-          acc += static_cast<std::int32_t>(a[i * s.k + p]) *
-                 static_cast<std::int32_t>(b[j * s.k + p]);
-        want[i * s.n + j] = acc;
-      }
-
-    for (KernelArch arch : available_tiers()) {
-      set_kernel_arch_for_testing(arch);
-      std::vector<std::int32_t> c(s.m * s.n, -1);
-      kernels().gemm_s8(s.m, s.n, s.k, a.data(), b.data(), c.data());
-      for (std::size_t i = 0; i < c.size(); ++i)
-        ASSERT_EQ(c[i], want[i])
-            << "gemm_s8 " << kernel_arch_name(arch) << " at " << i << " (m="
-            << s.m << " n=" << s.n << " k=" << s.k << ")";
     }
   }
 }

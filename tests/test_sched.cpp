@@ -1,14 +1,18 @@
 // Scheduling-layer tests: bin-packer invariants (capacity, single
 // placement, determinism, sticky migration counting), autoscaler policy
 // arithmetic, replay scoring against a hand-computed mini-trace, the
-// closed-loop SchedulerLoop's determinism and infeasibility pricing, and
+// closed-loop SchedulerLoop's determinism, infeasibility pricing and
+// hostile-forecast handling (diverged refits, non-finite demand), and
 // fleet integration bit-consistency (the forecast the fleet exposes equals
 // an independently mirrored bootstrap-fit + serve of the same history).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -18,6 +22,7 @@
 #include "common/check.h"
 #include "fleet/manager.h"
 #include "fleet/options.h"
+#include "obs/metrics.h"
 #include "sched/autoscaler.h"
 #include "sched/cluster.h"
 #include "sched/fleet_source.h"
@@ -237,6 +242,33 @@ TEST(SchedAutoscaler, HeadroomFloorsCapsAndDeadband) {
   EXPECT_DOUBLE_EQ(a.mem, 1.0);
 }
 
+TEST(SchedAutoscaler, NonFiniteDemandHoldsTheAllocation) {
+  Autoscaler scaler;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ResourceForecast d;
+  d.cpu = nan;
+  d.mem = 0.25;
+  // First sight: the non-finite resource gets its cap, the finite one its
+  // usual target.
+  Allocation a = scaler.decide("e", d);
+  EXPECT_DOUBLE_EQ(a.cpu, 1.0);
+  EXPECT_DOUBLE_EQ(a.mem, 0.25 * 1.15);
+  EXPECT_EQ(scaler.nonfinite_forecasts(), 1u);
+
+  d.cpu = 0.5;
+  a = scaler.decide("e", d);
+  EXPECT_DOUBLE_EQ(a.cpu, 0.5 * 1.15) << "a finite forecast shrinks again";
+
+  // Afterwards a non-finite resource holds the current allocation.
+  d.cpu = std::numeric_limits<double>::infinity();
+  d.mem = nan;
+  a = scaler.decide("e", d);
+  EXPECT_DOUBLE_EQ(a.cpu, 0.5 * 1.15);
+  EXPECT_DOUBLE_EQ(a.mem, 0.25 * 1.15);
+  EXPECT_EQ(scaler.nonfinite_forecasts(), 2u);
+  EXPECT_EQ(scaler.scale_events(), 1u) << "holding is not a scale event";
+}
+
 TEST(SchedAutoscaler, OptionsValidateNamedFields) {
   AutoscalerOptions o;
   o.headroom = 0.5;
@@ -342,6 +374,42 @@ TEST(SchedForecast, SessionSourceIsDeterministicAndRefitsGenerations) {
   EXPECT_EQ(a.generation(), 2u);
 }
 
+TEST(SchedForecast, RejectedRefitKeepsTheIncumbent) {
+  // A forced divergence: Adam steps of ~1e35 blow every weight up, so every
+  // fit's validation loss is non-finite and fails the gate. The bootstrap
+  // installs its generation anyway (some model must serve); a refit must
+  // not replace it.
+  SessionSourceOptions o;
+  o.retrain.model_name = "RPTCN";
+  o.retrain.model.nn.max_epochs = 2;
+  o.retrain.model.nn.patience = 2;
+  o.retrain.model.nn.seed = 9;
+  o.retrain.model.nn.learning_rate = 1e35f;
+  o.retrain.model.rptcn.tcn.channels = {6, 6};
+  o.retrain.model.rptcn.fc_dim = 6;
+  o.retrain.history = 200;
+  o.retrain.window.window = 16;
+  o.retrain.window.horizon = 1;
+  o.retrain.min_ticks_between = 0;
+  const data::TimeSeriesFrame bootstrap = regime_trace(regime_a(), 240, 17);
+
+  SessionSource source("diverged", bootstrap, o);
+  ASSERT_EQ(source.generation(), 1u);
+  ASSERT_TRUE(source.last_outcome().quality_rejected);
+  const serve::InferenceSession* incumbent = &source.session();
+  const ResourceForecast before = source.forecast(bootstrap);
+
+  source.refit(regime_trace(regime_b(), 240, 19));
+  EXPECT_TRUE(source.last_outcome().quality_rejected);
+  EXPECT_EQ(source.generation(), 1u);
+  EXPECT_EQ(&source.session(), incumbent);
+  const ResourceForecast after = source.forecast(bootstrap);
+  // Bitwise, so a NaN forecast from the diverged incumbent compares too.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(after.cpu),
+            std::bit_cast<std::uint64_t>(before.cpu));
+  EXPECT_EQ(after.mem, before.mem);
+}
+
 // ---------------------------------------------------------------------------
 // SchedulerLoop
 // ---------------------------------------------------------------------------
@@ -412,6 +480,43 @@ TEST(SchedLoop, UnplaceableEntitiesArePricedAsUnderProvisioned) {
   EXPECT_EQ(r.infeasible_packs, r.decisions);
   EXPECT_GT(r.score.under_integral, 0.0);
   EXPECT_GT(r.score.violation_rate, 0.9);
+}
+
+/// Stands in for a diverged model: every forecast is NaN.
+class NanSource final : public ForecastSource {
+ public:
+  const std::string& name() const override { return name_; }
+  ResourceForecast forecast(const data::TimeSeriesFrame&) override {
+    ResourceForecast f;
+    f.cpu = std::numeric_limits<double>::quiet_NaN();
+    f.mem = std::numeric_limits<double>::quiet_NaN();
+    return f;
+  }
+
+ private:
+  std::string name_ = "nan";
+};
+
+TEST(SchedLoop, NonFiniteForecastsGetFiniteAllocationsAndAreCounted) {
+  const bool obs_was = obs::enabled();
+  obs::set_enabled(true);
+  LoopOptions o = small_loop_options();
+  o.tenant = "sched-nonfinite-test";
+  obs::Counter& nonfinite =
+      obs::metrics().counter("sched/nonfinite_forecasts_total", o.tenant);
+  const std::uint64_t before = nonfinite.value();
+
+  SchedulerLoop loop(storm_traces(2, 120, 0, 9), o);
+  const LoopResult r = loop.run(
+      {std::make_shared<NanSource>(), std::make_shared<LastValueSource>()});
+  obs::set_enabled(obs_was);
+
+  // The NaN entity is provisioned at its caps: finite, and never starved.
+  EXPECT_EQ(r.infeasible_packs, 0u);
+  EXPECT_TRUE(std::isfinite(r.score.total_cost));
+  EXPECT_TRUE(std::isfinite(r.score.over_integral));
+  EXPECT_EQ(nonfinite.value() - before, r.decisions)
+      << "one count per non-finite forecast";
 }
 
 TEST(SchedLoop, HigherHeadroomTradesCostForViolations) {

@@ -1,6 +1,7 @@
 // Serving engine tests: inference/training parity (batched tape-free
 // forward bit-identical to the unbatched autograd forward for every
-// registry forecaster), InferenceSession contract checks, and
+// registry forecaster, independent of batchmates and of the kernel tier),
+// InferenceSession contract checks, and
 // BatchingEngine behaviour (coalescing, future delivery, failure fan-out,
 // drain-on-shutdown, concurrent submitters).
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "serve/engine.h"
 #include "serve/session.h"
 #include "tensor/buffer_pool.h"
+#include "tensor/dispatch.h"
 
 namespace rptcn::serve {
 namespace {
@@ -154,6 +156,82 @@ TEST_P(ServeParity, HoldsWithBufferPoolDisabled) {
   model->fit(ds);
   InferenceSession session(*model);
   expect_bit_identical(ds, *model, session);
+}
+
+TEST_P(ServeParity, RowsDoNotDependOnTheirBatchmates) {
+  // The contract in serve/session.h admits no exception: a row's forecast
+  // is a function of its own window only, whatever order, batch size or
+  // magnitude its batchmates have.
+  const auto ds = make_dataset();
+  auto model = models::make_forecaster(GetParam(), tiny_config());
+  model->fit(ds);
+  InferenceSession session(*model);
+
+  const std::size_t n = std::min<std::size_t>(6, ds.test.samples());
+  const std::size_t f = ds.test.inputs.dim(1);
+  const std::size_t t = ds.test.inputs.dim(2);
+  const std::size_t w = f * t;
+  Tensor batch({n, f, t});
+  std::copy_n(ds.test.inputs.raw(), n * w, batch.raw());
+  const Tensor base = session.run(batch);
+  const std::size_t horizon = base.dim(1);
+
+  // Reversed order: row i moves to slot n-1-i.
+  Tensor reversed({n, f, t});
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy_n(batch.raw() + i * w, w, reversed.raw() + (n - 1 - i) * w);
+  const Tensor rev = session.run(reversed);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t h = 0; h < horizon; ++h)
+      EXPECT_EQ(rev.at(n - 1 - i, h), base.at(i, h))
+          << GetParam() << " window " << i << " step " << h
+          << ": reordering the batch changed the row";
+
+  // A batch of two: the window beside a copy of itself scaled tenfold.
+  for (std::size_t i = 0; i < n; ++i) {
+    Tensor pair({2, f, t});
+    std::copy_n(batch.raw() + i * w, w, pair.raw());
+    for (std::size_t k = 0; k < w; ++k)
+      pair.raw()[w + k] = 10.0f * batch.raw()[i * w + k];
+    const Tensor out = session.run(pair);
+    for (std::size_t h = 0; h < horizon; ++h)
+      EXPECT_EQ(out.at(0, h), base.at(i, h))
+          << GetParam() << " window " << i << " step " << h
+          << ": an outlier batchmate changed the row";
+  }
+}
+
+TEST_P(ServeParity, ServingIsBitIdenticalAcrossKernelTiers) {
+  // Every float kernel tier is bitwise interchangeable, so a session
+  // compiled and run on any tier the host supports must serve exactly what
+  // the scalar tier serves.
+  struct ArchGuard {
+    KernelArch saved = kernel_arch();
+    ~ArchGuard() { set_kernel_arch_for_testing(saved); }
+  } guard;
+  const auto ds = make_dataset();
+  auto model = models::make_forecaster(GetParam(), tiny_config());
+  model->fit(ds);
+
+  const std::size_t n = std::min<std::size_t>(6, ds.test.samples());
+  const std::size_t f = ds.test.inputs.dim(1);
+  const std::size_t t = ds.test.inputs.dim(2);
+  Tensor batch({n, f, t});
+  std::copy_n(ds.test.inputs.raw(), n * f * t, batch.raw());
+
+  set_kernel_arch_for_testing(KernelArch::kScalar);
+  const Tensor want = InferenceSession(*model).run(batch);
+  const KernelArch best = best_supported_arch();
+  for (KernelArch arch : {KernelArch::kAvx2, KernelArch::kAvx512}) {
+    if (arch > best) continue;
+    set_kernel_arch_for_testing(arch);
+    const Tensor got = InferenceSession(*model).run(batch);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j)
+      ASSERT_EQ(got.raw()[j], want.raw()[j])
+          << GetParam() << " element " << j << ": "
+          << kernel_arch_name(arch) << " diverged from scalar";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ServeParity,
